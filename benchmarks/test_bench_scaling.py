@@ -12,15 +12,12 @@ numpy fast path releases the GIL for its batched loop bodies, so shards
 genuinely overlap on a multi-core host.  Gates:
 
 * on a >=4-core runner (GitHub CI), >=1.6x speedup at 4 workers;
-* on this 1-vCPU container (see DESIGN.md substitutions), only bounded
-  overhead is asserted and the honest timings are recorded with the
-  core count;
-* enhanced vs naive fork-join is compared for real by running the same
-  region-heavy program under ``fork_mode="naive"`` (fresh threads per
-  construct, the model the paper rejects).
+* on a host with fewer cores, only bounded overhead is asserted and the
+  honest timings are recorded with the core count.
 
-Native gcc runs keep their original role: thread-creation overhead is
-real regardless of core count, and RT_THREADS runs check correctness.
+The enhanced-vs-naive (spawn-per-construct) comparison is a recorded
+number in EXPERIMENTS.md (E-PAR).  Native gcc runs time many tiny pool
+regions and check RT_THREADS correctness.
 
 Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the workload.
 """
@@ -40,7 +37,6 @@ from repro.api import compile_source
 from repro.cexec import CompiledProgram, gcc_available
 from repro.cexec.rmat import read_rmat, write_rmat
 from repro.cexec.vm import VM
-from repro.codegen.scaling import ForkJoinCosts, calibrated_costs
 from repro.programs import load
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
@@ -65,11 +61,6 @@ def _merge_bench(update: dict) -> None:
 
 
 @pytest.fixture(scope="module")
-def costs() -> ForkJoinCosts:
-    return calibrated_costs()
-
-
-@pytest.fixture(scope="module")
 def fig1(tmp_path_factory):
     wd = tmp_path_factory.mktemp("fig1scale")
     cube = np.random.default_rng(0).normal(0, 0.4, SHAPE).astype(np.float32)
@@ -84,8 +75,8 @@ def fig1(tmp_path_factory):
     return cr, wd, cube
 
 
-def _timed_run(cr, wd, nthreads, fork_mode="enhanced", repeats=REPEATS,
-               backend=None, out_name="means.data"):
+def _timed_run(cr, wd, nthreads, repeats=REPEATS, backend=None,
+               out_name="means.data"):
     """Best-of wall-clock for a full program run at the given pool size.
 
     With ``backend="process"`` the lazy pool fork happens inside the
@@ -97,8 +88,7 @@ def _timed_run(cr, wd, nthreads, fork_mode="enhanced", repeats=REPEATS,
     proc_regions = 0
     for _ in range(repeats):
         vm = VM(cr.lowered, cr.ctx, workdir=wd, nthreads=nthreads,
-                program=cr.bytecode(), fork_mode=fork_mode,
-                parallel_backend=backend)
+                program=cr.bytecode(), parallel_backend=backend)
         t0 = time.perf_counter()
         rc = vm.run_main()
         best = min(best, time.perf_counter() - t0)
@@ -127,8 +117,6 @@ class TestMeasuredVMScaling:
                 assert np.array_equal(reference, out), \
                     f"nthreads={n} changed the result"
             times[n] = secs
-        naive_secs, _, _, naive_out = _timed_run(cr, wd, 4, fork_mode="naive")
-        assert np.array_equal(reference, naive_out)
 
         cpus = os.cpu_count() or 1
         curve = [{"threads": n, "seconds": round(times[n], 4),
@@ -142,8 +130,6 @@ class TestMeasuredVMScaling:
             "smoke": SMOKE,
             "cpus": cpus,
             "curve": curve,
-            "naive_fork_join_4_seconds": round(naive_secs, 4),
-            "enhanced_over_naive_at_4": round(naive_secs / times[4], 2),
             "gate": {"required_speedup_at_4": 1.6,
                      "enforced": cpus >= 4,
                      "measured_speedup_at_4": round(speedup4, 2)},
@@ -151,7 +137,7 @@ class TestMeasuredVMScaling:
         })
         print("\n" + "  ".join(
             f"{c['threads']}w {c['seconds']*1e3:.0f}ms ({c['speedup']:.2f}x)"
-            for c in curve) + f"  naive4 {naive_secs*1e3:.0f}ms")
+            for c in curve))
         if cpus >= 4:
             assert speedup4 >= 1.6, \
                 f"only {speedup4:.2f}x at 4 workers on {cpus} cores"
@@ -256,64 +242,14 @@ class TestMeasuredVMScaling:
             assert t[4] <= 4.0 * t[1], \
                 f"process pool overhead {t[4]/t[1]:.2f}x on {cpus} core(s)"
 
-    def test_enhanced_pool_beats_naive_on_small_regions(self, tmp_path):
-        """The paper's argument for the pool, measured in-process: many
-        tiny parallel constructs are where per-region thread creation
-        hurts.  200 regions x fresh threads vs one persistent pool."""
-        reps = 50 if SMOKE else 200
-        src = """
-        int work(int reps) {
-            Matrix float <1> v = init(Matrix float <1>, 64);
-            for (int r = 0; r < reps; r = r + 1) {
-                v = with ([0] <= [i] < [64]) genarray([64], 1.0 * i);
-            }
-            return 0;
-        }
-        int main() { return work(%d); }
-        """ % reps
-        cr = compile_source(src, ["matrix"])
-        assert cr.ok, cr.errors
-        cr.bytecode()
-
-        def best_of(fork_mode):
-            best = float("inf")
-            for _ in range(3):
-                vm = VM(cr.lowered, cr.ctx, workdir=tmp_path, nthreads=2,
-                        program=cr.bytecode(), fork_mode=fork_mode)
-                t0 = time.perf_counter()
-                assert vm.run_main() == 0
-                best = min(best, time.perf_counter() - t0)
-                assert vm.stats.parallel_regions == reps
-                vm.close()
-            return best
-
-        enhanced = best_of("enhanced")
-        naive = best_of("naive")
-        per_region_us = (naive - enhanced) / reps * 1e6
-        _merge_bench({
-            "pool_vs_naive": {
-                "regions": reps,
-                "enhanced_seconds": round(enhanced, 4),
-                "naive_seconds": round(naive, 4),
-                "per_region_saving_us": round(per_region_us, 1),
-            },
-        })
-        print(f"\nenhanced {enhanced*1e3:.1f}ms  naive {naive*1e3:.1f}ms  "
-              f"saving {per_region_us:.0f}us/region")
-        # Soft gate (timing on shared runners is noisy): the persistent
-        # pool must never lose badly to spawn-per-construct.
-        assert naive >= 0.9 * enhanced
-
 
 @pytest.mark.skipif(not gcc_available(), reason="gcc not available")
 class TestNativeFortJoinOverheads:
-    """Measured per-region costs of pool vs naive thread spawning.
+    """Measured per-region cost of the generated runtime's pool.
 
     Uses the generated runtime directly: a program with many tiny
-    parallel regions.  On one core the pool's spin workers contend, so we
-    measure with the *main-thread-only* inline path (p=1) against naive
-    creation of one thread — isolating creation cost, which is the
-    paper's point.
+    parallel regions, run on the main-thread-only inline path (p=1) so
+    spinning workers never contend for a core.
     """
 
     MICRO = r"""
@@ -335,15 +271,6 @@ int main() { return work(200); }
             assert out.stats.parallel_regions >= 200
         finally:
             prog.cleanup()
-
-    def test_measured_thread_create_vs_model(self, costs):
-        from repro.codegen.scaling import measure_thread_create_us
-
-        measured = measure_thread_create_us()
-        assert measured is not None
-        # 200 naive constructs would cost measured*200 us of pure
-        # management overhead; the pool pays (near) nothing inline.
-        assert measured * 200 > 1000  # >1ms of avoided overhead
 
 
 @pytest.mark.skipif(not gcc_available(), reason="gcc not available")

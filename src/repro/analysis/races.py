@@ -48,7 +48,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.analysis.access import READ, WRITE, Access, Summaries, subst_poly
+from repro.analysis.access import READ, WRITE, Access, Summaries
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.hazards import H_TRAP, TASK_BLOCKERS
 from repro.ir.affine import Poly
@@ -210,15 +210,6 @@ _CHUNK_ATOMS = ("chunk:lo", "chunk:hi")
 
 def _mentions_chunk(p) -> bool:
     return p is not None and bool(p.atoms() & set(_CHUNK_ATOMS))
-
-
-def _prime(p):
-    """Rename the symbolic chunk bounds to the second chunk's."""
-    if p is None:
-        return None
-    env = {a: (Poly.atom(a + "'"), {}) for a in _CHUNK_ATOMS}
-    v = subst_poly(p, env)
-    return None if v is None or v[1] else v[0]
 
 
 def _positive_monomial(p: Poly) -> bool:

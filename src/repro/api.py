@@ -126,7 +126,6 @@ def run_source(
     output_names: list[str] | None = None,
     nthreads: int | None = None,
     options: Optimizations | None = None,
-    fork_mode: str = "enhanced",
     parallel_backend: str | None = None,
 ):
     """Translate and execute on a Python engine in one call.
@@ -143,9 +142,8 @@ def run_source(
     process pool, safety-gated with thread fallback) or ``"auto"``
     (process when eligible); ``None`` defers to
     ``REPRO_PARALLEL_BACKEND``.  Parallel runs are observationally
-    identical to sequential ones on every backend.
-    ``fork_mode="naive"`` selects the measured-overhead
-    spawn-per-construct comparison model (benchmarks only).
+    identical to sequential ones on every backend.  Without a
+    ``workdir`` the run's temporary directory is removed on return.
     """
     from repro.cexec.interp import run_program
 
@@ -158,7 +156,6 @@ def run_source(
         nthreads=nthreads,
         options=options,
         engine=engine,
-        fork_mode=fork_mode,
         parallel_backend=parallel_backend,
     )
 

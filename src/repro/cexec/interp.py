@@ -19,7 +19,10 @@ truncates toward zero, `%` follows C, matrices hold float32, and `&&`/
 
 from __future__ import annotations
 
+import contextlib
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -658,35 +661,50 @@ ENGINES = ("vm", "tree")
 
 
 def make_engine(lowered, ctx, *, engine: str = "vm",
-                workdir: str | Path = ".", nthreads: int = 1,
-                fork_mode: str = "enhanced", program=None,
+                workdir: str | Path = ".", nthreads: int = 1, program=None,
                 parallel_backend: str | None = None,
                 profile: bool = False) -> RTRuntime:
     """An executor for a lowered tree: the bytecode VM (default) or the
     tree-walking reference interpreter.  Both expose ``run_main``,
     ``call_function``, ``stats`` and ``stdout``.
 
-    ``nthreads > 1`` gives the VM an S23 fork-join worker pool
-    (``fork_mode`` picks the enhanced persistent pool or the naive
-    spawn-per-construct model); ``parallel_backend`` selects where
-    shards execute — ``"thread"`` (S23 pool), ``"process"`` (S27
-    shared-memory process pool with thread fallback for ineligible
-    regions) or ``"auto"`` (process when eligible, else thread); ``None``
-    defers to ``REPRO_PARALLEL_BACKEND``, defaulting to threads.  The
-    tree-walker is always sequential and ignores all three.  ``program``
+    ``nthreads > 1`` gives the VM an S23 fork-join worker pool;
+    ``parallel_backend`` selects where shards execute — ``"thread"``
+    (S23 pool), ``"process"`` (S27 shared-memory process pool with
+    thread fallback for ineligible regions) or ``"auto"`` (process when
+    eligible, else thread); ``None`` defers to
+    ``REPRO_PARALLEL_BACKEND``, defaulting to threads.  The tree-walker
+    is always sequential and ignores both.  ``program``
     may supply a prebuilt :class:`~repro.cexec.bytecode.BytecodeProgram`
     to the VM."""
     if engine in ("vm", "bytecode"):
         from repro.cexec.vm import VM
 
         return VM(lowered, ctx, workdir=workdir, nthreads=nthreads,
-                  fork_mode=fork_mode, program=program,
-                  parallel_backend=parallel_backend, profile=profile)
+                  program=program, parallel_backend=parallel_backend,
+                  profile=profile)
     if engine in ("tree", "interp"):
         if profile:
             raise ValueError("--profile requires the vm engine")
         return Interpreter(lowered, ctx, workdir=workdir, nthreads=nthreads)
     raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
+
+
+@contextlib.contextmanager
+def run_workdir(workdir: str | Path | None, prefix: str):
+    """A run's working directory: *workdir* (created if missing) when
+    given, else a fresh temporary directory named ``<prefix>*`` that is
+    removed on exit, also when the run raises."""
+    if workdir:
+        wd = Path(workdir)
+        wd.mkdir(parents=True, exist_ok=True)
+        yield wd
+        return
+    wd = Path(tempfile.mkdtemp(prefix=prefix))
+    try:
+        yield wd
+    finally:
+        shutil.rmtree(wd, ignore_errors=True)
 
 
 def run_program(
@@ -699,7 +717,6 @@ def run_program(
     nthreads: int | None = None,
     options=None,
     engine: str = "vm",
-    fork_mode: str = "enhanced",
     parallel_backend: str | None = None,
     profile: bool = False,
 ) -> tuple[int, dict[str, np.ndarray], InterpStats, "RTRuntime"]:
@@ -714,9 +731,9 @@ def run_program(
     ``parallel_backend`` picks thread, process, or auto shard execution
     (``None`` defers to ``REPRO_PARALLEL_BACKEND``).  Any thread count
     and backend is observationally identical to ``nthreads=1``.
+    Without a ``workdir`` the run uses a temporary directory that is
+    removed before returning.
     """
-    import tempfile
-
     from repro.api import compile_source
     from repro.cexec.parallel import resolve_nthreads
 
@@ -724,23 +741,23 @@ def run_program(
     cr = compile_source(source, extensions, options=options, nthreads=nthreads)
     if not cr.ok:
         raise InterpError("translation failed:\n" + "\n".join(cr.errors))
-    wd = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="repro-interp-"))
-    wd.mkdir(parents=True, exist_ok=True)
-    for name, arr in (inputs or {}).items():
-        write_rmat(wd / name, arr)
-    executor = make_engine(cr.lowered, cr.ctx, engine=engine,
-                           workdir=wd, nthreads=nthreads, fork_mode=fork_mode,
-                           parallel_backend=parallel_backend, profile=profile)
-    try:
-        rc = executor.run_main()
-    finally:
-        executor.close()  # quiesce and release any worker pool
+    with run_workdir(workdir, "repro-interp-") as wd:
+        for name, arr in (inputs or {}).items():
+            write_rmat(wd / name, arr)
+        executor = make_engine(cr.lowered, cr.ctx, engine=engine,
+                               workdir=wd, nthreads=nthreads,
+                               parallel_backend=parallel_backend,
+                               profile=profile)
+        try:
+            rc = executor.run_main()
+        finally:
+            executor.close()  # quiesce and release any worker pool
+        outputs = {}
+        for name in output_names or []:
+            path = wd / name
+            if path.exists():
+                outputs[name] = read_rmat(path)
     prog = getattr(executor, "program", None)
     if prog is not None:
         executor.stats.opt_counts = dict(getattr(prog, "opt_counts", {}) or {})
-    outputs = {}
-    for name in output_names or []:
-        path = wd / name
-        if path.exists():
-            outputs[name] = read_rmat(path)
     return rc, outputs, executor.stats, executor

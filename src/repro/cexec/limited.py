@@ -158,13 +158,10 @@ def run_limited(
     truncated), and ``elapsed_s``.  Successful runs add ``returncode``,
     ``outputs`` and the headline interpreter counters.
     """
-    import tempfile
-    from pathlib import Path
-
     import numpy as np
 
     from repro.api import compile_source
-    from repro.cexec.interp import make_engine
+    from repro.cexec.interp import make_engine, run_workdir
     from repro.cexec.rmat import read_rmat, write_rmat
 
     t0 = time.perf_counter()
@@ -186,57 +183,57 @@ def run_limited(
     if not cr.ok:
         return done(KIND_COMPILE_ERROR, errors=list(cr.errors), stdout=[])
 
-    wd = Path(workdir) if workdir else Path(
-        tempfile.mkdtemp(prefix="repro-serve-")
-    )
-    wd.mkdir(parents=True, exist_ok=True)
-    for name, data in (inputs or {}).items():
-        arr = np.asarray(data, dtype=np.float32)
-        write_rmat(wd / name, arr)
+    with run_workdir(workdir, "repro-serve-") as wd:
+        for name, data in (inputs or {}).items():
+            arr = np.asarray(data, dtype=np.float32)
+            write_rmat(wd / name, arr)
 
-    capped = CappedStdout(output_cap)
-    executor = make_engine(cr.lowered, cr.ctx, engine=engine,
-                           workdir=wd, nthreads=nthreads)
-    executor.stdout = capped
-    truncated = False
-    try:
-        with _Deadline(timeout_s):
-            try:
-                rc = executor.run_main()
-            except OutputLimitExceeded as e:
-                truncated = True
-                return done(KIND_OUTPUT_LIMIT, error=str(e),
-                            stdout=list(capped), truncated=True)
-            except DeadlineExceeded as e:
-                return done(KIND_TIMEOUT, error=str(e), stdout=list(capped))
-            except MemoryError:
-                return done(KIND_OOM, error="address-space limit exceeded",
-                            stdout=list(capped))
-            except RuntimeTrap as e:
-                # The C runtime exits 2 on traps; mirror that contract.
-                return done(KIND_TRAP, error=str(e), returncode=2,
-                            stdout=list(capped))
-            except InterpError as e:
-                return done(KIND_INTERNAL, error=str(e), stdout=list(capped))
-            except (IndexError, ZeroDivisionError, OverflowError) as e:
-                # The VM lets numpy/Python surface bounds and arithmetic
-                # faults raw; to a daemon they are program traps, not bugs.
-                return done(KIND_TRAP, error=f"runtime error: {e}",
-                            returncode=2, stdout=list(capped))
-            except Exception as e:
-                return done(KIND_INTERNAL, error=f"{type(e).__name__}: {e}",
-                            stdout=list(capped))
-    finally:
+        capped = CappedStdout(output_cap)
+        executor = make_engine(cr.lowered, cr.ctx, engine=engine,
+                               workdir=wd, nthreads=nthreads)
+        executor.stdout = capped
+        truncated = False
         try:
-            executor.close()
-        except Exception:
-            pass
+            with _Deadline(timeout_s):
+                try:
+                    rc = executor.run_main()
+                except OutputLimitExceeded as e:
+                    truncated = True
+                    return done(KIND_OUTPUT_LIMIT, error=str(e),
+                                stdout=list(capped), truncated=True)
+                except DeadlineExceeded as e:
+                    return done(KIND_TIMEOUT, error=str(e),
+                                stdout=list(capped))
+                except MemoryError:
+                    return done(KIND_OOM, error="address-space limit exceeded",
+                                stdout=list(capped))
+                except RuntimeTrap as e:
+                    # The C runtime exits 2 on traps; mirror that contract.
+                    return done(KIND_TRAP, error=str(e), returncode=2,
+                                stdout=list(capped))
+                except InterpError as e:
+                    return done(KIND_INTERNAL, error=str(e),
+                                stdout=list(capped))
+                except (IndexError, ZeroDivisionError, OverflowError) as e:
+                    # The VM lets numpy/Python surface bounds and arithmetic
+                    # faults raw; to a daemon they are program traps, not bugs.
+                    return done(KIND_TRAP, error=f"runtime error: {e}",
+                                returncode=2, stdout=list(capped))
+                except Exception as e:
+                    return done(KIND_INTERNAL,
+                                error=f"{type(e).__name__}: {e}",
+                                stdout=list(capped))
+        finally:
+            try:
+                executor.close()
+            except Exception:
+                pass
 
-    outputs: dict[str, Any] = {}
-    for name in output_names or []:
-        path = wd / name
-        if path.exists():
-            outputs[name] = read_rmat(path).tolist()
+        outputs: dict[str, Any] = {}
+        for name in output_names or []:
+            path = wd / name
+            if path.exists():
+                outputs[name] = read_rmat(path).tolist()
     stats = executor.stats
     return done(
         KIND_OK,

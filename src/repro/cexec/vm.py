@@ -47,7 +47,7 @@ from repro.cexec.interp import (
     InterpError, InterpStats, RTMat, RTRuntime, RuntimeTrap, c_div, c_mod,
 )
 from repro.cexec.parallel import (
-    ProcessShardPool, attach_shm, make_pool, resolve_backend,
+    ProcessShardPool, WorkerPool, attach_shm, resolve_backend,
 )
 
 
@@ -75,7 +75,6 @@ class VM(RTRuntime):
 
     def __init__(self, lowered_root: Node, ctx, *, workdir: str | Path = ".",
                  nthreads: int = 1, program: BytecodeProgram | None = None,
-                 fork_mode: str = "enhanced",
                  parallel_backend: str | None = None,
                  profile: bool = False):
         # Thread-local redirection target must exist before RTRuntime's
@@ -87,7 +86,6 @@ class VM(RTRuntime):
         self.program = program or BytecodeProgram(lowered_root, ctx)
         self._ops: dict[str, list] = {}
         self._lifted_ops: dict[str, list] = {}
-        self._fork_mode = fork_mode
         self._backend = resolve_backend(parallel_backend)
         self._pool = None
         self._pool_finalizer = None
@@ -365,10 +363,8 @@ class VM(RTRuntime):
         if self.nthreads <= 1 or self._closed:
             return None
         if self._pool is None:
-            self._pool = make_pool(self.nthreads, self._fork_mode)
-            if self._pool is not None:
-                self._pool_finalizer = weakref.finalize(
-                    self, self._pool.shutdown)
+            self._pool = WorkerPool(self.nthreads)
+            self._pool_finalizer = weakref.finalize(self, self._pool.shutdown)
         return self._pool
 
     def _ensure_ppool(self):

@@ -104,5 +104,5 @@ class CompileContext:
 
     def need(self, feature: str) -> None:
         """Record that the generated program uses a runtime feature
-        ("matrix", "pool", "refcount", "io", "sse")."""
+        ("matrix", "pool", "regions", "refcount", "io", ...)."""
         self.runtime_features.add(feature)

@@ -72,10 +72,6 @@ def lowered_expr(n: DecoratedNode) -> Node:
     return n.att("lowpair")[1]
 
 
-def hoisted_expr(n: DecoratedNode) -> list[Node]:
-    return n.att("lowpair")[0]
-
-
 def wrap_hoisted(stmt: Node, hoisted: list[Node]) -> Node:
     if not hoisted:
         return stmt

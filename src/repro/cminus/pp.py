@@ -216,13 +216,3 @@ def pp_prototype(node: Node) -> str:
     rett, name, params, _body = node.children
     plist = [pp_type(prm.children[0]) for prm in node_cons_to_list(params)]
     return f"{pp_type(rett)} {name}({', '.join(plist) or 'void'});"
-
-
-def pp_translation_unit(root: Node) -> str:
-    """Print a lowered Root node's functions (prototypes first)."""
-    if root.prod != "root":
-        raise PPError(f"expected root node, got {root.prod!r}")
-    funcs = node_cons_to_list(root.children[0])
-    protos = [pp_prototype(f) for f in funcs if f.children[1] != "main"]
-    bodies = [pp_function(f) for f in funcs]
-    return "\n".join(protos) + ("\n\n" if protos else "") + "\n\n".join(bodies) + "\n"

@@ -13,6 +13,8 @@ Pieces are keyed by feature name; a compilation requests features through
 * ``pool``     — §III-C's enhanced fork-join model from SAC [14]: worker
   threads are spawned once, spin on a generation counter, execute chunk
   ranges when released, then pass a stop barrier and spin again.
+* ``regions``  — ``rt_pool_run``, which releases the pool for one
+  parallel construct; emitted only when lowering produced one.
 * ``vector``   — §V's 128-bit 4×float vector operations (SSE intrinsics on
   x86, scalar fallback elsewhere).
 """
@@ -281,6 +283,17 @@ static void rt_pool_init(int nthreads) {
         pthread_create(&rt_pool_threads[i], NULL, rt_pool_worker, (void *)i);
 }
 
+static void rt_pool_shutdown_all(void) {
+    long i;
+    rt_pool_shutdown = 1;
+    __sync_synchronize();
+    for (i = 1; i < rt_pool_nthreads; i++)
+        pthread_join(rt_pool_threads[i], NULL);
+}
+"""
+
+REGIONS = r"""
+/* ---- fork-join region launch on the pool ------------------------------ */
 static volatile int rt_pool_region_active = 0;
 
 static void rt_pool_run(rt_work_fn fn, void *env, long total) {
@@ -306,37 +319,6 @@ static void rt_pool_run(rt_work_fn fn, void *env, long total) {
     while (rt_pool_done_count < rt_pool_nthreads - 1)
         ;
     rt_pool_region_active = 0;
-}
-
-static void rt_pool_shutdown_all(void) {
-    long i;
-    rt_pool_shutdown = 1;
-    __sync_synchronize();
-    for (i = 1; i < rt_pool_nthreads; i++)
-        pthread_join(rt_pool_threads[i], NULL);
-}
-
-/* Naive fork-join baseline (threads created/destroyed per construct) —
-   kept for the overhead benchmark in EXPERIMENTS.md. */
-typedef struct { rt_work_fn fn; void *env; long lo, hi; } rt_naive_arg;
-static void *rt_naive_worker(void *p) {
-    rt_naive_arg *a = (rt_naive_arg *)p;
-    a->fn(a->env, a->lo, a->hi);
-    return NULL;
-}
-static void rt_naive_run(rt_work_fn fn, void *env, long total, int nthreads) {
-    pthread_t ts[RT_MAX_THREADS];
-    rt_naive_arg args[RT_MAX_THREADS];
-    long per = (total + nthreads - 1) / nthreads;
-    int i;
-    for (i = 0; i < nthreads; i++) {
-        long lo = i * per, hi = lo + per;
-        if (lo > total) lo = total;
-        if (hi > total) hi = total;
-        args[i].fn = fn; args[i].env = env; args[i].lo = lo; args[i].hi = hi;
-        pthread_create(&ts[i], NULL, rt_naive_worker, &args[i]);
-    }
-    for (i = 0; i < nthreads; i++) pthread_join(ts[i], NULL);
 }
 """
 
@@ -498,6 +480,7 @@ FEATURES: dict[str, str] = {
     "refcount": REFCOUNT,
     "io": IO,
     "pool": POOL,
+    "regions": REGIONS,
     "tasks": TASKS,
     "vector": VECTOR,
     "printing": PRINTING,
@@ -508,6 +491,7 @@ IMPLIES: dict[str, tuple[str, ...]] = {
     "refcount": ("matrix", "counters"),
     "io": ("matrix", "refcount"),
     "pool": ("counters",),
+    "regions": ("pool",),
     "tasks": ("counters",),
     "vector": ("matrix",),
     "printing": ("counters", "pool"),

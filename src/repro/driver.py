@@ -72,7 +72,7 @@ class CompileResult:
         return self._bytecode
 
     def make_engine(self, *, engine: str = "vm", workdir: str = ".",
-                    nthreads: int | None = None, fork_mode: str = "enhanced",
+                    nthreads: int | None = None,
                     parallel_backend: str | None = None,
                     profile: bool = False):
         """A ready-to-run executor for this compile result.
@@ -93,7 +93,7 @@ class CompileResult:
         return _make_engine(self.lowered, self.ctx, engine=engine,
                             workdir=workdir,
                             nthreads=resolve_nthreads(nthreads),
-                            fork_mode=fork_mode, program=program,
+                            program=program,
                             parallel_backend=parallel_backend,
                             profile=profile)
 

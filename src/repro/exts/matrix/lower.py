@@ -236,7 +236,7 @@ def parallelize_loop(loop: Node, n: DecoratedNode, ctx, hint: str = "wl") -> Nod
     for name in free_vars(chunk, bound={var, "__lo", "__hi"}):
         captures.append((ctype_for_name(name, n, ctx), name))
     ctx.lift_function(LiftedFunc(fname, mk.block(mk.stmt_list([chunk])), captures))
-    ctx.need("pool")
+    ctx.need("regions")
     total = mk.binop("-", hi, lo)
     args = [mk.strLit(fname), total] + [lvar(name) for _t, name in captures]
     return mk.exprStmt(call_n("__rt_pool_run", args))

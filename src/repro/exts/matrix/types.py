@@ -42,10 +42,6 @@ ANY_MATRIX = TAnyMatrix()
 VALID_ELEMS = (TInt, TFloat, TBool)
 
 
-def matrix_of(elem: Type, rank: int) -> TMatrix:
-    return TMatrix(elem, rank)
-
-
 def is_matrix(t: Type) -> bool:
     return isinstance(t, (TMatrix, TAnyMatrix))
 

@@ -148,9 +148,3 @@ def verify_fn(fn: TACFunc, *, where: str = "") -> None:
         if b.term is not None:
             for a in b.term.args:
                 check_use(a, bid, None, f"terminator '{b.term.op}'")
-
-
-def verify_all(fns, *, where: str = "") -> None:
-    """Verify a batch of functions (tests/ir convenience)."""
-    for fn in fns:
-        verify_fn(fn, where=where)

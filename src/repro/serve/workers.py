@@ -169,7 +169,6 @@ class WorkerPool:
         output_cap: int = DEFAULT_OUTPUT_CAP,
         max_memory_bytes: int = 0,
         counters=None,
-        mp_start_method: str | None = None,
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -179,22 +178,13 @@ class WorkerPool:
         self.output_cap = output_cap
         self.max_memory_bytes = max_memory_bytes
         self.counters = counters
-        # "fork" by default: workers start instantly with warm imports
-        # and no __main__ re-execution (forkserver/spawn re-import the
-        # parent's __main__, which breaks under pytest, `python -c` and
+        # "fork": workers start instantly with warm imports and no
+        # __main__ re-execution (forkserver/spawn re-import the parent's
+        # __main__, which breaks under pytest, `python -c` and
         # stdin-driven runs).  Respawns can fork from handler threads, so
         # workers rebind every process-wide lock their compile path can
-        # touch on entry (see _reinit_inherited_state).  forkserver and
-        # spawn remain selectable via REPRO_SERVE_MP.
-        method = mp_start_method or os.environ.get("REPRO_SERVE_MP", "fork")
-        self._ctx = mp.get_context(method)
-        if method == "forkserver":
-            try:
-                self._ctx.set_forkserver_preload(
-                    ["repro.api", "repro.cexec.limited"]
-                )
-            except Exception:
-                pass
+        # touch on entry (see _reinit_inherited_state).
+        self._ctx = mp.get_context("fork")
         self._idle: "queue.Queue[_Worker]" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False

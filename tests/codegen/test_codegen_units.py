@@ -1,8 +1,12 @@
 """Unit tests for the codegen substrate: runtime feature selection,
-C type mapping, lifted-function rendering, and the scaling model."""
+C type mapping and lifted-function rendering."""
+
+import subprocess
 
 import pytest
 
+from repro.api import compile_source
+from repro.cexec import gcc_available
 from repro.cminus.env import CompileContext
 from repro.cminus.types import (
     BOOL, FLOAT, INT, STRING, TPointer, TTuple, VOID,
@@ -10,12 +14,7 @@ from repro.cminus.types import (
 from repro.codegen.ctypemap import CTypeError, ctype_of, tuple_struct
 from repro.codegen.emit import LiftedFunc
 from repro.codegen.runtime_c import FEATURES, IMPLIES, runtime_source
-from repro.codegen.scaling import (
-    ForkJoinCosts,
-    crossover_work,
-    predicted_time_us,
-    scaling_curve,
-)
+from repro.programs import corpus_cases
 
 
 class TestRuntimeSelection:
@@ -32,12 +31,8 @@ class TestRuntimeSelection:
         assert "rt_alloc_count" in src
 
     def test_every_feature_set_compiles(self, tmp_path):
-        from repro.cexec import gcc_available
-
         if not gcc_available():
             pytest.skip("gcc not available")
-        import subprocess
-
         src = runtime_source(set(FEATURES)) + "\nint main(void){return 0;}\n"
         c = tmp_path / "all.c"
         c.write_text(src)
@@ -108,40 +103,21 @@ class TestLiftedFunc:
         assert "worker(__lo, __hi, __e->x, __e->m);" in wrap
 
 
-class TestScalingModel:
-    COSTS = ForkJoinCosts(t_create_us=25.0, t_release_us=2.0, t_chunk_us=0.5)
+@pytest.mark.skipif(not gcc_available(), reason="gcc not available")
+class TestNoDeadRuntime:
+    """Generated C carries only the runtime it calls: every corpus
+    program compiles with unused static functions as errors."""
 
-    def test_single_thread_no_overhead(self):
-        t = predicted_time_us(1000, 1.0, 1, self.COSTS)
-        assert t == pytest.approx(1000.0)
-
-    def test_speedup_bounded_by_threads(self):
-        for pts in scaling_curve(10_000, 1.0, self.COSTS):
-            assert pts.speedup <= pts.threads + 1e-9
-
-    def test_large_work_near_linear(self):
-        curve = scaling_curve(1_000_000, 1.0, self.COSTS, max_threads=12)
-        assert curve[-1].efficiency > 0.99
-
-    def test_tiny_work_does_not_scale(self):
-        curve = scaling_curve(10, 1.0, self.COSTS, max_threads=12)
-        assert curve[-1].speedup < 2.0
-
-    def test_naive_worse_than_enhanced(self):
-        for p in (2, 4, 8, 12):
-            te = predicted_time_us(1000, 1.0, p, self.COSTS, model="enhanced")
-            tn = predicted_time_us(1000, 1.0, p, self.COSTS, model="naive")
-            assert te < tn
-
-    def test_crossover_monotone_in_overhead(self):
-        cheap = ForkJoinCosts(t_create_us=5.0)
-        dear = ForkJoinCosts(t_create_us=50.0)
-        assert crossover_work(1.0, cheap, 4, model="naive") < \
-            crossover_work(1.0, dear, 4, model="naive")
-
-    def test_crossover_definition(self):
-        p = 4
-        w = crossover_work(1.0, self.COSTS, p)
-        t1 = predicted_time_us(w, 1.0, 1, self.COSTS)
-        tp = predicted_time_us(w, 1.0, p, self.COSTS)
-        assert tp <= t1 + 1e-9
+    @pytest.mark.parametrize("name,source,exts", [
+        pytest.param(*c[:3], id=c[0]) for c in corpus_cases()])
+    def test_no_unused_functions(self, name, source, exts, tmp_path):
+        cr = compile_source(source, exts)
+        assert cr.ok, cr.errors
+        c = tmp_path / f"{name}.c"
+        c.write_text(cr.c_source)
+        r = subprocess.run(
+            ["gcc", "-Wall", "-Werror=unused-function", "-c",
+             "-o", str(tmp_path / f"{name}.o"), str(c)],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr

@@ -204,6 +204,15 @@ int main() {
                         workdir=tmp_path)
         assert r["ok"] and r["stdout"] == ["6"]
 
+    def test_no_tempdir_left(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert run_limited(OK_PROG, ["matrix"])["ok"]
+        r = run_limited(TRAP_PROG, ["matrix"])
+        assert r["kind"] == "trap"
+        assert not list(tmp_path.glob("repro-*"))
+
     def test_timeout_main_thread(self, tmp_path):
         t0 = time.monotonic()
         r = run_limited(LOOP_PROG, ["matrix"], timeout_s=0.5,
